@@ -55,6 +55,91 @@ pub fn sq_l2(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
+/// Centroids per tile of [`sq_l2_block`]: eight partial sums of 64 lanes
+/// are 2 KiB of stack.
+const BLOCK_TILE: usize = 64;
+
+/// Squared L2 distance from `q` to every point of a dimension-major table:
+/// coordinate `j` of point `c` is `t[j * ks + c]`, and `out[c]` receives
+/// the distance to point `c`.
+///
+/// The lanes of a tile are points side by side, each reading the column of
+/// one coordinate while `q[j]` is broadcast to all of them — the layout
+/// that lets PQ tables, PQ encoding and k-means assignment vectorize across
+/// centroids. Each lane accumulates in exactly the order [`sq_l2`] does:
+/// below 16 dimensions one running sum, from 16 up the eight strided
+/// partial sums folded in order and then the tail. So `out[c]` equals
+/// `sq_l2(q, point c)` bit for bit, on every path: the AVX2 build of the
+/// same loops uses no FMA and reassociates nothing.
+pub fn sq_l2_block(q: &[f32], t: &[f32], ks: usize, out: &mut [f32]) {
+    assert_eq!(t.len(), q.len() * ks, "sq_l2_block table is not dim x ks");
+    assert_eq!(out.len(), ks, "sq_l2_block output is not ks long");
+    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+    if crate::simd::x86::avx2_available() {
+        // SAFETY: AVX2 presence was runtime-checked above.
+        return unsafe { sq_l2_block_avx2(q, t, ks, out) };
+    }
+    sq_l2_block_tiles(q, t, ks, out);
+}
+
+/// [`sq_l2_block`] compiled for AVX2: wider lanes, the same operations.
+///
+/// # Safety
+/// Requires AVX2.
+#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+#[target_feature(enable = "avx2")]
+unsafe fn sq_l2_block_avx2(q: &[f32], t: &[f32], ks: usize, out: &mut [f32]) {
+    sq_l2_block_tiles(q, t, ks, out);
+}
+
+/// Full tiles get their own call so their width is a constant and the lane
+/// loops unroll; a partial last tile takes the general width.
+#[inline(always)]
+fn sq_l2_block_tiles(q: &[f32], t: &[f32], ks: usize, out: &mut [f32]) {
+    let full = ks - ks % BLOCK_TILE;
+    for c0 in (0..full).step_by(BLOCK_TILE) {
+        sq_l2_tile(q, t, ks, c0, &mut out[c0..c0 + BLOCK_TILE]);
+    }
+    if full < ks {
+        sq_l2_tile(q, t, ks, full, &mut out[full..]);
+    }
+}
+
+/// One tile of [`sq_l2_block`]: the points `c0..c0 + out.len()`.
+#[inline(always)]
+fn sq_l2_tile(q: &[f32], t: &[f32], ks: usize, c0: usize, out: &mut [f32]) {
+    let w = out.len();
+    let col = |j: usize| &t[j * ks + c0..j * ks + c0 + w];
+    out.fill(0.0);
+    let tail = if q.len() < 16 {
+        0
+    } else {
+        let chunks = q.len() / 8;
+        let mut acc = [[0.0f32; BLOCK_TILE]; 8];
+        for (i, acc) in acc.iter_mut().enumerate() {
+            for c in 0..chunks {
+                let j = c * 8 + i;
+                for (a, &x) in acc[..w].iter_mut().zip(col(j)) {
+                    let d = q[j] - x;
+                    *a += d * d;
+                }
+            }
+        }
+        for acc in &acc {
+            for (o, &a) in out.iter_mut().zip(&acc[..w]) {
+                *o += a;
+            }
+        }
+        chunks * 8
+    };
+    for (j, &qj) in q.iter().enumerate().skip(tail) {
+        for (o, &x) in out.iter_mut().zip(col(j)) {
+            let d = qj - x;
+            *o += d * d;
+        }
+    }
+}
+
 /// Inner product of two equal-length slices.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {

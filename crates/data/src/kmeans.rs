@@ -5,12 +5,18 @@
 //! (`wknng_baseline::kmeans` re-exports this module verbatim) and the
 //! product-quantization codebook training in [`crate::pq`], which runs one
 //! k-means per subspace.
+//!
+//! Each Lloyd iteration lays its centroids out dimension-major once, so a
+//! point's assignment is one [`sq_l2_block`] call across every centroid and
+//! a strict-`<` argmin (ties keep the lowest index). The block kernel is
+//! bit-identical to one [`crate::sq_l2`] per centroid, so the clustering
+//! does not depend on the CPU.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use crate::dist::sq_l2;
+use crate::dist::{sq_l2, sq_l2_block};
 use crate::vecs::VectorSet;
 
 /// Result of a k-means run.
@@ -70,20 +76,25 @@ pub fn train_kmeans(vs: &VectorSet, nlist: usize, max_iters: usize, seed: u64) -
 
     for _ in 0..max_iters {
         iterations += 1;
-        // Assign.
+        // Assign: one block call per point over the transposed centroids,
+        // into a distance buffer each worker reuses.
+        let table: Vec<f32> =
+            (0..dim).flat_map(|j| centroids.iter().skip(j).step_by(dim).copied()).collect();
         let next: Vec<u32> = (0..n)
             .into_par_iter()
-            .map(|p| {
-                let row = vs.row(p);
-                let mut best = (f32::INFINITY, 0u32);
-                for c in 0..nlist {
-                    let d = sq_l2(row, &centroids[c * dim..(c + 1) * dim]);
-                    if d < best.0 {
-                        best = (d, c as u32);
+            .map_init(
+                || vec![0.0f32; nlist],
+                |dists, p| {
+                    sq_l2_block(vs.row(p), &table, nlist, dists);
+                    let mut best = (f32::INFINITY, 0u32);
+                    for (c, &d) in dists.iter().enumerate() {
+                        if d < best.0 {
+                            best = (d, c as u32);
+                        }
                     }
-                }
-                best.1
-            })
+                    best.1
+                },
+            )
             .collect();
         let changed = next.iter().zip(&assignment).filter(|(a, b)| a != b).count();
         assignment = next;

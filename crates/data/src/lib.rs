@@ -42,7 +42,7 @@ pub mod vecs;
 pub mod wal;
 
 pub use crash::{AppendCrash, CrashPlan, CrashScope};
-pub use dist::{cosine_distance, dot, norm, sq_l2, Metric};
+pub use dist::{cosine_distance, dot, norm, sq_l2, sq_l2_block, Metric};
 pub use error::DataError;
 pub use groundtruth::exact_knn;
 pub use kmeans::{train_kmeans, Kmeans};

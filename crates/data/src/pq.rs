@@ -20,11 +20,19 @@
 //! the differential tests pin exactly that identity, plus the triangle
 //! bound `|‖q−x‖ − ‖q−x̂‖| ≤ ‖x−x̂‖` against the unquantized point.
 //!
+//! The centroids are stored once, **dimension-major** (coordinate `d` of
+//! every centroid side by side), the layout a GPU kernel would give its
+//! lanes. Tabulating one subspace of a query, and encoding one subvector,
+//! is then a single [`sq_l2_block`] call across all `ks` centroids, with
+//! the subvector broadcast to every lane. That kernel is bit-identical to
+//! one [`crate::sq_l2`] per centroid, so tables and codes do not depend on
+//! the CPU.
+//!
 //! Odd dimensionalities need no padding: when `m ∤ dim` the first
 //! `dim mod m` subspaces are one dimension wider, so every coordinate
 //! belongs to exactly one subspace and tails cannot drift.
 
-use crate::dist::sq_l2;
+use crate::dist::sq_l2_block;
 use crate::error::DataError;
 use crate::kmeans::train_kmeans;
 use crate::vecs::VectorSet;
@@ -62,9 +70,10 @@ pub struct PqCodebook {
     ks: usize,
     /// Subspace boundaries: subspace `s` covers dims `starts[s]..starts[s+1]`.
     starts: Vec<usize>,
-    /// Flat centroid storage; subspace `s`, centroid `j` lives at
-    /// `cent_off[s] + j · width(s)`.
-    cent_off: Vec<usize>,
+    /// Flat centroid storage, dimension-major: coordinate `d` of centroid
+    /// `j` of the subspace covering `d` lives at `d · ks + j`, so each
+    /// subspace's rows `starts[s]..starts[s+1]` are the table
+    /// [`sq_l2_block`] reads.
     centroids: Vec<f32>,
 }
 
@@ -100,10 +109,8 @@ impl PqCodebook {
             starts.push(at);
         }
 
-        let mut cent_off = Vec::with_capacity(m + 1);
-        let mut centroids = Vec::new();
+        let mut centroids = Vec::with_capacity(dim * ks);
         for s in 0..m {
-            cent_off.push(centroids.len());
             let width = starts[s + 1] - starts[s];
             let sub: Vec<f32> = train
                 .rows()
@@ -112,10 +119,11 @@ impl PqCodebook {
             let sub = VectorSet::new(sub, width).expect("subspace rows stay finite");
             let km = train_kmeans(&sub, ks, params.train_iters, params.seed ^ (s as u64) << 32);
             debug_assert_eq!(km.nlist, ks);
-            centroids.extend_from_slice(&km.centroids);
+            for d in 0..width {
+                centroids.extend(km.centroids.iter().skip(d).step_by(width));
+            }
         }
-        cent_off.push(centroids.len());
-        Ok(PqCodebook { dim, m, ks, starts, cent_off, centroids })
+        Ok(PqCodebook { dim, m, ks, starts, centroids })
     }
 
     /// Dimensionality of the vectors this codebook encodes.
@@ -138,39 +146,35 @@ impl PqCodebook {
         self.centroids.len() * std::mem::size_of::<f32>()
     }
 
-    /// Centroid `j` of subspace `s`.
-    pub fn centroid(&self, s: usize, j: usize) -> &[f32] {
-        let width = self.starts[s + 1] - self.starts[s];
-        let at = self.cent_off[s] + j * width;
-        &self.centroids[at..at + width]
+    /// Subspace `s`'s slice of `row`, and its dimension-major centroid
+    /// table.
+    fn subspace<'a>(&'a self, row: &'a [f32], s: usize) -> (&'a [f32], &'a [f32]) {
+        let (lo, hi) = (self.starts[s], self.starts[s + 1]);
+        (&row[lo..hi], &self.centroids[lo * self.ks..hi * self.ks])
     }
 
-    /// Encode one row (must match the trained dimensionality).
-    pub fn encode_row(&self, row: &[f32]) -> Vec<u8> {
-        assert_eq!(row.len(), self.dim, "encode_row over the wrong dimensionality");
-        (0..self.m)
-            .map(|s| {
-                let sub = &row[self.starts[s]..self.starts[s + 1]];
-                let mut best = (f32::INFINITY, 0usize);
-                for j in 0..self.ks {
-                    let d = sq_l2(sub, self.centroid(s, j));
-                    if d < best.0 {
-                        best = (d, j);
-                    }
-                }
-                best.1 as u8
-            })
-            .collect()
-    }
-
-    /// Encode a whole set into packed codes.
+    /// Encode a whole set into packed codes: per point and subspace, one
+    /// block distance to every centroid and an argmin (ties keep the lowest
+    /// id).
     pub fn encode(&self, vs: &VectorSet) -> Result<PqCodes, DataError> {
         if vs.dim() != self.dim {
             return Err(DataError::DimMismatch { got: vs.dim(), want: self.dim });
         }
-        let mut codes = Vec::with_capacity(vs.len() * self.m);
-        for row in vs.rows() {
-            codes.extend_from_slice(&self.encode_row(row));
+        let mut codes = vec![0u8; vs.len() * self.m];
+        let mut dists = [0.0f32; PQ_KS];
+        let dists = &mut dists[..self.ks];
+        for (row, code) in vs.rows().zip(codes.chunks_exact_mut(self.m)) {
+            for (s, byte) in code.iter_mut().enumerate() {
+                let (sub, table) = self.subspace(row, s);
+                sq_l2_block(sub, table, self.ks, dists);
+                let mut best = (f32::INFINITY, 0usize);
+                for (j, &d) in dists.iter().enumerate() {
+                    if d < best.0 {
+                        best = (d, j);
+                    }
+                }
+                *byte = best.1 as u8;
+            }
         }
         Ok(PqCodes { codes, n: vs.len(), m: self.m })
     }
@@ -180,7 +184,8 @@ impl PqCodebook {
         assert_eq!(code.len(), self.m, "decode_row over the wrong code width");
         let mut out = Vec::with_capacity(self.dim);
         for (s, &c) in code.iter().enumerate() {
-            out.extend_from_slice(self.centroid(s, c as usize));
+            let dims = self.starts[s]..self.starts[s + 1];
+            out.extend(dims.map(|d| self.centroids[d * self.ks + c as usize]));
         }
         out
     }
@@ -194,15 +199,14 @@ impl PqCodebook {
         VectorSet::new(flat, self.dim).expect("centroids are finite")
     }
 
-    /// Build the per-query ADC lookup table (`m × ks` squared distances).
+    /// Build the per-query ADC lookup table (`m × ks` squared distances),
+    /// one block distance call per subspace.
     pub fn adc_table(&self, query: &[f32]) -> AdcTable {
         assert_eq!(query.len(), self.dim, "adc_table over the wrong dimensionality");
-        let mut lut = Vec::with_capacity(self.m * self.ks);
-        for s in 0..self.m {
-            let sub = &query[self.starts[s]..self.starts[s + 1]];
-            for j in 0..self.ks {
-                lut.push(sq_l2(sub, self.centroid(s, j)));
-            }
+        let mut lut = vec![0.0f32; self.m * self.ks];
+        for (s, out) in lut.chunks_exact_mut(self.ks).enumerate() {
+            let (sub, table) = self.subspace(query, s);
+            sq_l2_block(sub, table, self.ks, out);
         }
         AdcTable { m: self.m, ks: self.ks, lut }
     }
@@ -287,6 +291,7 @@ impl AdcTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::sq_l2;
     use crate::synth::DatasetSpec;
 
     fn trained(n: usize, dim: usize, m: usize) -> (VectorSet, PqCodebook, PqCodes) {

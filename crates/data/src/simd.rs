@@ -222,7 +222,7 @@ pub fn kernel() -> &'static dyn DistanceKernel {
 }
 
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-mod x86 {
+pub(crate) mod x86 {
     use std::sync::atomic::{AtomicU8, Ordering};
 
     /// 0 = unprobed, 1 = available, 2 = unavailable.
@@ -383,6 +383,9 @@ mod tests {
 
     // One test covers both the plain and the nested guard so the global
     // KERNEL_MODE is only ever manipulated from a single test thread.
+    // Readers race too: any other test in this binary that resolves the
+    // global `kernel()` may see the mode flip mid-test, so the others call
+    // the concrete `ScalarKernel` / `SimdKernel` instead.
     #[test]
     fn mode_guard_restores_and_nests_lifo() {
         assert_eq!(kernel_mode(), KernelMode::Auto);
@@ -445,12 +448,17 @@ mod tests {
         .unwrap();
         let q = pseudo_row(33, 9);
         let ids = [3u32, 0, 2];
-        let mut out = Vec::new();
-        kernel().eval_many(Metric::SquaredL2, &q, &vs, &ids, &mut out);
-        assert_eq!(out.len(), 3);
-        for (i, &id) in ids.iter().enumerate() {
-            let want = kernel().eval(Metric::SquaredL2, &q, vs.row(id as usize));
-            assert_eq!(out[i], want);
+        // Each concrete kernel against itself: going through the global
+        // `kernel()` twice would race the mode flips of
+        // `mode_guard_restores_and_nests_lifo` on another test thread.
+        for kern in [&ScalarKernel as &dyn DistanceKernel, &SimdKernel] {
+            let mut out = Vec::new();
+            kern.eval_many(Metric::SquaredL2, &q, &vs, &ids, &mut out);
+            assert_eq!(out.len(), 3);
+            for (i, &id) in ids.iter().enumerate() {
+                let want = kern.eval(Metric::SquaredL2, &q, vs.row(id as usize));
+                assert_eq!(out[i], want, "{}", kern.name());
+            }
         }
     }
 

@@ -50,6 +50,16 @@ pub mod prelude {
         fn with_min_len(self, _n: usize) -> Self {
             self
         }
+
+        /// One `init()` state for the whole (sequential) run.
+        fn map_init<T, R, INIT, F>(self, init: INIT, mut map_op: F) -> impl Iterator<Item = R>
+        where
+            INIT: Fn() -> T,
+            F: FnMut(&mut T, Self::Item) -> R,
+        {
+            let mut state = init();
+            self.map(move |item| map_op(&mut state, item))
+        }
     }
     impl<I: Iterator> ParallelIterator for I {}
 }

@@ -17,8 +17,8 @@ use std::sync::Mutex;
 
 use wknng::prelude::*;
 use wknng_data::{
-    dot, sq_l2, DistanceKernel, KernelMode, KernelModeGuard, PqCodebook, PqParams, ScalarKernel,
-    SimdKernel,
+    dot, sq_l2, sq_l2_block, DistanceKernel, KernelMode, KernelModeGuard, PqCodebook, PqParams,
+    ScalarKernel, SimdKernel,
 };
 
 /// Tests that flip the process-global kernel mode serialize on this lock so
@@ -127,6 +127,56 @@ fn simd_handles_adversarial_values() {
             "dot case {i}: {gd} vs {wd}"
         );
     }
+}
+
+#[test]
+fn sq_l2_block_is_bit_identical_to_sq_l2() {
+    // The dimension-major block kernel behind PQ tables, PQ encoding and
+    // k-means assignment must reproduce the scalar oracle bit for bit on
+    // whichever path is compiled in: one running sum below 16 dimensions,
+    // eight strided partials from 16 up, full and partial 64-lane tiles.
+    // Every seventh point is one of six adversarial shapes: the query
+    // itself (distance 0), squares that overflow to infinity, squares that
+    // underflow, alternating huge and tiny coordinates, negative zeros, and
+    // a sign-flipped query (pure cancellation-free growth).
+    let point = |dim: usize, q: &[f32], c: usize| -> Vec<f32> {
+        let base = pseudo_row(dim, 40_000 + (dim * 1000 + c) as u64);
+        match c % 7 {
+            0 => q.to_vec(),
+            1 => base.iter().map(|x| x * 1e19).collect(),
+            2 => base.iter().map(|x| x * 1e-21).collect(),
+            3 => base.iter().enumerate().map(|(j, x)| x * [1e10, 1e-10][j % 2]).collect(),
+            4 => vec![-0.0; dim],
+            5 => q.iter().map(|x| -x).collect(),
+            _ => base,
+        }
+    };
+    let mut compared = 0usize;
+    for dim in 1..=40usize {
+        let plain = pseudo_row(dim, 7 + dim as u64);
+        let mixed: Vec<f32> =
+            plain.iter().enumerate().map(|(j, x)| x * [1.0, 1e12][j % 2]).collect();
+        for q in [plain, mixed] {
+            for ks in [1usize, 63, 64, 65, 255, 256, 300] {
+                let points: Vec<Vec<f32>> = (0..ks).map(|c| point(dim, &q, c)).collect();
+                let table: Vec<f32> =
+                    (0..dim).flat_map(|j| points.iter().map(move |p| p[j])).collect();
+                let mut out = vec![f32::NAN; ks];
+                sq_l2_block(&q, &table, ks, &mut out);
+                for (c, p) in points.iter().enumerate() {
+                    let want = sq_l2(&q, p);
+                    assert_eq!(
+                        out[c].to_bits(),
+                        want.to_bits(),
+                        "dim {dim} ks {ks} point {c}: block {} vs sq_l2 {want}",
+                        out[c]
+                    );
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(compared, 2 * 40 * (1 + 63 + 64 + 65 + 255 + 256 + 300));
 }
 
 #[test]
